@@ -10,7 +10,8 @@ taking the fastest correct path available:
    into chunks and fanned out over a pool of **persistent workers**
    (one ``ProcessPoolExecutor`` per :func:`runtime_session`, not one
    per call).  The coordinator generates every trial's points once —
-   vectorized, via ``PointGenerator.generate_array`` — into a
+   via ``PointGenerator.generate_array``, vectorized for uniform and
+   Gaussian points — into a
    ``multiprocessing.shared_memory`` block; workers attach numpy views
    by name, so no point coordinate ever pickles.  Vector-engine
    workers run whole chunks through one batched kernel call
@@ -285,7 +286,9 @@ def _build_trials_vector(
 ) -> TrialResult:
     """The vector-engine trial loop: same seed contract, same spans,
     censuses bit-identical to the object loop's — but each trial is a
-    kernel call over the generated point array instead of a tree."""
+    kernel call over the generated point array instead of a tree, and
+    the points come from ``generate_array`` (bit-identical to
+    ``generate``), so no :class:`Point` is ever built."""
     from ..kernels import vector_census
 
     result = TrialResult.empty(spec.capacity)
@@ -295,7 +298,7 @@ def _build_trials_vector(
         generator = spec.make_generator(trial)
         with obs.span("trial.build"):
             partition = vector_census(
-                generator.generate(spec.n_points),
+                generator.generate_array(spec.n_points),
                 spec.capacity,
                 bounds=bounds,
                 dim=bounds.dim,
@@ -454,6 +457,8 @@ class PersistentPool:
         ):
             self.shutdown()
         if self._pool is None:
+            # boot the shared-memory tracker now, not during a run
+            sharedmem.start_tracker()
             # the module-global name, so tests can stub pool creation
             self._pool = ProcessPoolExecutor(max_workers=workers)
             self._workers = workers

@@ -32,8 +32,11 @@ free the segment once every mapping is gone.
 
 from __future__ import annotations
 
+import array
+import os
+import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -118,6 +121,45 @@ class SharedPointBlock:
             self._shm.unlink()
         except FileNotFoundError:
             pass
+
+
+#: Longest :func:`start_tracker` waits for the tracker to serve.
+TRACKER_WAIT_S = 2.0
+
+
+def start_tracker() -> None:
+    """Start multiprocessing's resource tracker and wait until it serves.
+
+    Every block registers with the tracker, a fresh interpreter that
+    is exec'd on first use.  Its boot takes tens of milliseconds;
+    started lazily by the first block, it competes with the pool
+    workers for cores through the first pooled runs.  The persistent
+    pool calls this at spin-up instead, so that cost lands there.  The
+    wait sends the tracker a probe and polls the pipe's unread byte
+    count (``FIONREAD``) until the tracker has read it, for at most
+    :data:`TRACKER_WAIT_S` seconds; where that ioctl is unsupported it
+    returns at once.  A live tracker reads the probe in well under a
+    millisecond, so every call probes afresh — a tracker that was
+    stopped in between is restarted and waited for again.
+    """
+    try:
+        import fcntl
+        import termios
+
+        fd = resource_tracker.getfd()
+        os.write(fd, b"PROBE:0:noop\n")
+    except (ImportError, OSError):
+        return
+    unread = array.array("i", [0])
+    deadline = time.monotonic() + TRACKER_WAIT_S
+    while time.monotonic() < deadline:
+        try:
+            fcntl.ioctl(fd, termios.FIONREAD, unread)
+        except OSError:
+            return
+        if not unread[0]:
+            return
+        time.sleep(0.001)
 
 
 def live_block_count() -> int:

@@ -172,9 +172,9 @@ def _preload(args: argparse.Namespace) -> None:
     from ..workloads import UniformPoints
     from .server import GENERATION_KEY
 
-    points = UniformPoints(dim=args.dim, seed=args.preload_seed).generate(
-        args.preload
-    )
+    points = UniformPoints(
+        dim=args.dim, seed=args.preload_seed
+    ).generate_array(args.preload)
     tree = bulk_load_paged(
         args.path, points, capacity=args.capacity, dim=args.dim,
         page_size=args.page_size, pool_pages=args.pool_pages,

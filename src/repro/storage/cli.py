@@ -91,15 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    points = _generator(args.distribution, args.dim, args.seed).generate(
-        args.n
-    )
+    generator = _generator(args.distribution, args.dim, args.seed)
     if args.bulk:
         from .bulkload import bulk_load_paged
 
         tree = bulk_load_paged(
             args.path,
-            points,
+            generator.generate_array(args.n),
             capacity=args.capacity,
             dim=args.dim,
             page_size=args.page_size,
@@ -121,7 +119,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             policy=args.policy,
         )
         try:
-            inserted = tree.insert_many(points)
+            inserted = tree.insert_many(generator.generate(args.n))
             tree.checkpoint()
             stats = tree.stats()
         finally:

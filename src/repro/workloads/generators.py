@@ -56,19 +56,54 @@ class PointGenerator:
 
     def generate_array(self, n: int) -> np.ndarray:
         """``n`` distinct points as an ``(n, dim)`` float64 array —
-        row ``i`` is exactly ``generate(n)[i]``'s coordinates.
+        row ``i`` is exactly ``generate(n)[i]``'s coordinates, and the
+        RNG is left in the state ``generate(n)`` would leave it in.
 
-        The base implementation lowers :meth:`generate`; subclasses
-        with a pure per-coordinate draw (uniform) override it with a
-        vectorized path that consumes the RNG stream identically, so
-        callers (the runtime's shared-memory pool path) may rely on
+        The base implementation lowers :meth:`generate`.  Uniform and
+        Gaussian points override it with a vectorized draw that
+        consumes the RNG stream identically, so callers (the runtime's
+        trial loops and shared-memory pool path) may rely on
         ``generate_array`` being bit-identical to ``generate`` for
-        every generator.
+        every generator.  Clustered and diagonal points stay on this
+        scalar fallback: each attempt interleaves an integer or uniform
+        draw with its normals on one stream, and a bulk draw of one
+        distribution cannot reproduce that interleaving bit for bit.
         """
         points = self.generate(n)
         if not points:
             return np.empty((0, self._bounds.dim), dtype=np.float64)
         return np.array([tuple(p) for p in points], dtype=np.float64)
+
+    def _distinct_rows(self, arr: np.ndarray, n: int) -> np.ndarray:
+        """Finish a vectorized draw with the scalar loop's dedupe.
+
+        ``arr`` holds the first ``n`` points the stream yields, and the
+        RNG sits just past the draw of the last one.  Duplicate rows
+        (probability ~0 in float64) fall back to :meth:`generate`'s
+        semantics: keep first occurrences, then keep drawing one point
+        at a time until ``n`` are distinct.
+        """
+        # +0.0 normalizes -0.0 so the bitwise comparisons below agree
+        # with the scalar path's value-equality dedupe; distinct first
+        # coordinates (the usual case) already make the rows distinct,
+        # and a 1-d sort is far cheaper than a row-wise one
+        if (
+            np.unique(arr[:, 0] + 0.0).size == n
+            or np.unique(arr + 0.0, axis=0).shape[0] == n
+        ):
+            return arr
+        seen = set()
+        rows: List[Tuple[float, ...]] = []
+        for row in map(tuple, arr.tolist()):
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+        while len(rows) < n:
+            row = tuple(self._raw())
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+        return np.array(rows, dtype=np.float64)
 
     def stream(self) -> Iterator[Point]:
         """An endless stream of distinct points."""
@@ -97,40 +132,17 @@ class UniformPoints(PointGenerator):
         ``_raw`` consumes one double per axis per point in row-major
         order, and a bulk ``Generator.random(k)`` yields exactly the
         same doubles as ``k`` scalar calls, so one bulk draw plus the
-        same affine map reproduces the scalar stream.  Duplicate rows
-        (probability ~0 in float64) fall back to the scalar loop's
-        semantics: keep first occurrences, then keep drawing one point
-        at a time until ``n`` are distinct.
+        same affine map reproduces the scalar stream.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         dim = self._bounds.dim
         if n == 0:
             return np.empty((0, dim), dtype=np.float64)
-        lo = np.array(
-            [self._bounds.lo[i] for i in range(dim)], dtype=np.float64
-        )
-        hi = np.array(
-            [self._bounds.hi[i] for i in range(dim)], dtype=np.float64
-        )
+        lo = np.array(self._bounds.lo.coords, dtype=np.float64)
+        hi = np.array(self._bounds.hi.coords, dtype=np.float64)
         raw = self._rng.random(n * dim).reshape(n, dim)
-        arr = lo + raw * (hi - lo)
-        # +0.0 normalizes -0.0 so the bitwise row comparison below
-        # agrees with the scalar path's value-equality dedupe
-        if np.unique(arr + 0.0, axis=0).shape[0] == n:
-            return arr
-        seen = set()
-        rows: List[Tuple[float, ...]] = []
-        for row in map(tuple, arr.tolist()):
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        while len(rows) < n:
-            row = tuple(self._raw())
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        return np.array(rows, dtype=np.float64)
+        return self._distinct_rows(lo + raw * (hi - lo), n)
 
 
 class GaussianPoints(PointGenerator):
@@ -167,6 +179,51 @@ class GaussianPoints(PointGenerator):
             p = Point(*coords)
             if self._bounds.contains_point(p):
                 return p
+
+    def generate_array(self, n: int) -> np.ndarray:
+        """Vectorized draw, bit-identical to :meth:`generate`.
+
+        ``_raw`` draws one normal per axis per attempt in row-major
+        order and rejects attempts outside the half-open region, and a
+        bulk ``Generator.normal(loc, scale, size=(k, dim))`` yields
+        exactly the doubles of ``k * dim`` scalar calls.  Each round
+        over-draws ``2 * need + 32`` attempts for the ``need`` rows
+        still missing — one round at the default sigma, more for a
+        sigma that rejects most attempts, never more than ~``2n`` rows
+        in memory; the round that completes ``n`` accepted rows rewinds
+        the bit generator to its start and redraws only the attempts up
+        to the ``n``-th accepted one, so the RNG ends where the scalar
+        loop ends it.
+        """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        dim = self._bounds.dim
+        if n == 0:
+            return np.empty((0, dim), dtype=np.float64)
+        center = self._bounds.center
+        # the scalar loop's loc/scale, computed as it computes them
+        loc = np.array([center[i] for i in range(dim)], dtype=np.float64)
+        scale = np.array(
+            [self._sigma_fraction * self._bounds.side(i) for i in range(dim)],
+            dtype=np.float64,
+        )
+        lo = np.array(self._bounds.lo.coords, dtype=np.float64)
+        hi = np.array(self._bounds.hi.coords, dtype=np.float64)
+        rounds: List[np.ndarray] = []
+        need = n
+        while need:
+            start = self._rng.bit_generator.state
+            draw = self._rng.normal(loc, scale, size=(2 * need + 32, dim))
+            inside = ((draw >= lo) & (draw < hi)).all(axis=1)
+            hits = np.flatnonzero(inside)
+            if hits.size >= need:
+                used = int(hits[need - 1]) + 1
+                self._rng.bit_generator.state = start
+                draw = self._rng.normal(loc, scale, size=(used, dim))
+                inside = inside[:used]
+            rounds.append(draw[inside])
+            need -= int(inside.sum())
+        return self._distinct_rows(np.concatenate(rounds), n)
 
 
 class ClusteredPoints(PointGenerator):

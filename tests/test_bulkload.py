@@ -188,6 +188,29 @@ class TestServePreload:
             tree.close()
             wal.close()
 
+    def test_preload_matches_list_built_state(self, tmp_path):
+        """The preload draws its points with ``generate_array``; the
+        state must equal one bulk-loaded from the ``generate`` list."""
+        import argparse
+
+        from repro.service.cli import _preload
+
+        path = tmp_path / "state.pf"
+        _preload(argparse.Namespace(
+            path=str(path), dim=2, preload=800, preload_seed=11,
+            capacity=4, page_size=4096, pool_pages=64,
+        ))
+        listed = bulk_load_paged(
+            tmp_path / "listed.pf",
+            UniformPoints(dim=2, seed=11).generate(800),
+            capacity=4, dim=2,
+        )
+        with PagedPRQuadtree.open(str(path)) as preloaded:
+            try:
+                assert_equivalent(preloaded, listed)
+            finally:
+                listed.close()
+
 
 class TestCli:
     def test_build_bulk_flag(self, tmp_path, capsys):
@@ -204,6 +227,17 @@ class TestCli:
         assert storage_main(
             ["build", incr_path, "--n", "300", "--capacity", "4"]
         ) == 0
+        with PagedPRQuadtree.open(path) as bulk, \
+                PagedPRQuadtree.open(incr_path) as incr:
+            assert_equivalent(bulk, incr)
+
+    def test_build_bulk_gaussian_matches_incremental(self, tmp_path):
+        path = str(tmp_path / "gauss.pf")
+        incr_path = str(tmp_path / "gauss-incr.pf")
+        common = ["--n", "400", "--capacity", "4",
+                  "--distribution", "gaussian"]
+        assert storage_main(["build", path, "--bulk"] + common) == 0
+        assert storage_main(["build", incr_path] + common) == 0
         with PagedPRQuadtree.open(path) as bulk, \
                 PagedPRQuadtree.open(incr_path) as incr:
             assert_equivalent(bulk, incr)

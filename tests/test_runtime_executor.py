@@ -380,6 +380,34 @@ class TestSharedMemoryLifecycle:
         execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
         assert live_block_count() == 0
 
+    def test_pool_spin_up_waits_for_the_tracker(self):
+        """Acquiring a pool boots the resource tracker and waits until
+        it has read its pipe, so no run pays for the boot — also after
+        the tracker was stopped between two pools."""
+        import array
+        import fcntl
+        import termios
+        from multiprocessing import resource_tracker
+
+        from repro.runtime import PersistentPool
+
+        tracker = resource_tracker._resource_tracker
+        assert live_block_count() == 0
+        for _ in range(2):
+            tracker._stop()
+            assert tracker._pid is None
+            holder = PersistentPool()
+            try:
+                holder.acquire(2)
+                pid = tracker._pid
+                assert pid is not None
+                assert os.waitpid(pid, os.WNOHANG) == (0, 0)
+                unread = array.array("i", [1])
+                fcntl.ioctl(tracker._fd, termios.FIONREAD, unread)
+                assert unread[0] == 0
+            finally:
+                holder.shutdown()
+
     def test_shm_creation_failure_falls_back_to_regeneration(
         self, monkeypatch
     ):

@@ -222,3 +222,35 @@ class TestSharedPoolMatrix:
         assert reader.report().cache_hits == 1
         _assert_bit_identical(serial, cached)
         assert cached.depth_censuses == serial.depth_censuses
+
+
+class TestGaussianEngineParity:
+    """Gaussian trials draw through ``GaussianPoints.generate_array`` on
+    both vector paths (serial loop and pool coordinator) and through
+    ``generate`` on the object engine; all three must agree exactly."""
+
+    SPEC = dict(
+        capacity=4, n_points=181, trials=5, seed=29,
+        generator="gaussian", collect_depth=True,
+    )
+
+    def test_serial_pooled_and_object_payloads_identical(self):
+        from repro.runtime import (
+            ExperimentSpec, execute, live_block_count, runtime_session,
+        )
+
+        spec = ExperimentSpec(**self.SPEC)
+        object_payload = execute(
+            spec, RuntimeConfig(engine="object")
+        ).to_payload()
+        serial_payload = execute(
+            spec, RuntimeConfig(engine="vector")
+        ).to_payload()
+        pooled_config = RuntimeConfig(
+            workers=2, engine="vector", chunk_size=2
+        )
+        with runtime_session(pooled_config):
+            pooled_payload = execute(spec).to_payload()
+        assert serial_payload == object_payload
+        assert pooled_payload == object_payload
+        assert live_block_count() == 0

@@ -246,3 +246,121 @@ class TestGenerateArray:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             UniformPoints(seed=1).generate_array(-1)
+
+    # -- Gaussian: the vectorized rejection draw with rewind -----------
+
+    @staticmethod
+    def _assert_gaussian_parity(n, **kwargs):
+        """Byte-equal rows and the same RNG end state as ``generate``."""
+        vector = GaussianPoints(**kwargs)
+        scalar = GaussianPoints(**kwargs)
+        arr = vector.generate_array(n)
+        points = scalar.generate(n)
+        dim = scalar.bounds.dim
+        expected = np.array(
+            [tuple(p) for p in points], dtype=np.float64
+        ).reshape(n, dim)
+        assert arr.shape == (n, dim)
+        assert arr.dtype == np.float64
+        assert arr.tobytes() == expected.tobytes()
+        assert (
+            vector._rng.bit_generator.state
+            == scalar._rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_gaussian_dims_unit_and_off_unit_bounds(self, dim):
+        off_unit = Rect(
+            Point(*(-1.5 + 0.25 * i for i in range(dim))),
+            Point(*(2.0 + i for i in range(dim))),
+        )
+        for bounds in (Rect.unit(dim), off_unit):
+            for seed in range(5):
+                self._assert_gaussian_parity(
+                    300, bounds=bounds, dim=dim, seed=seed
+                )
+
+    def test_gaussian_every_paper_size_over_seeds(self):
+        for n in logarithmic_sample_sizes():
+            for seed in range(20):
+                self._assert_gaussian_parity(n, seed=seed)
+
+    def test_gaussian_stream_continuation_matches(self):
+        mixed = GaussianPoints(seed=7)
+        scalar = GaussianPoints(seed=7)
+        first = mixed.generate_array(60)
+        second = mixed.generate(60)
+        expect = scalar.generate(120)
+        assert np.array_equal(
+            first, np.array([tuple(p) for p in expect[:60]])
+        )
+        assert second == expect[60:]
+
+    def test_gaussian_zero_and_negative(self):
+        gen = GaussianPoints(seed=1)
+        before = gen._rng.bit_generator.state
+        assert gen.generate_array(0).shape == (0, 2)
+        assert gen._rng.bit_generator.state == before
+        with pytest.raises(ValueError):
+            gen.generate_array(-1)
+
+    @pytest.mark.parametrize("sigma_fraction", [0.05, 5.0])
+    def test_gaussian_extreme_sigmas(self, sigma_fraction):
+        # 0.05: almost every attempt lands inside; 5.0: ~0.6% does
+        for seed in range(3):
+            self._assert_gaussian_parity(
+                300, seed=seed, sigma_fraction=sigma_fraction
+            )
+
+    class _CountingRng:
+        """Forwards to a ``Generator``, counting bulk ``normal`` draws."""
+
+        def __init__(self, rng):
+            self._rng = rng
+            self.normal_calls = 0
+
+        @property
+        def bit_generator(self):
+            return self._rng.bit_generator
+
+        def normal(self, *args, **kwargs):
+            self.normal_calls += 1
+            return self._rng.normal(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "sigma_fraction, min_calls, max_calls", [(0.4, 2, 2), (5.0, 50, None)]
+    )
+    def test_gaussian_refill_rounds(self, sigma_fraction, min_calls, max_calls):
+        """The default sigma fills ``n`` in one round plus the rewound
+        redraw; sigma 5.0 takes many rounds, each keeping every row it
+        accepted except the last, which rewinds."""
+        for seed in range(3):
+            vector = GaussianPoints(seed=seed, sigma_fraction=sigma_fraction)
+            vector._rng = counting = self._CountingRng(vector._rng)
+            scalar = GaussianPoints(seed=seed, sigma_fraction=sigma_fraction)
+            arr = vector.generate_array(300)
+            expected = np.array([tuple(p) for p in scalar.generate(300)])
+            assert arr.tobytes() == expected.tobytes()
+            assert (
+                counting.bit_generator.state
+                == scalar._rng.bit_generator.state
+            )
+            assert counting.normal_calls >= min_calls
+            if max_calls is not None:
+                assert counting.normal_calls <= max_calls
+
+    @pytest.mark.parametrize("factory", [UniformPoints, GaussianPoints])
+    def test_duplicate_rows_fall_back_to_scalar_dedupe(self, factory):
+        # [1, 1 + 2**-50) holds only four doubles, so drawing all four
+        # distinct values repeats rows and exercises the scalar dedupe
+        bounds = Rect(Point(1.0), Point(1.0 + 2.0 ** -50))
+        for seed in range(5):
+            vector = factory(bounds=bounds, dim=1, seed=seed)
+            scalar = factory(bounds=bounds, dim=1, seed=seed)
+            arr = vector.generate_array(4)
+            expected = np.array([tuple(p) for p in scalar.generate(4)])
+            assert arr.tobytes() == expected.tobytes()
+            assert (
+                vector._rng.bit_generator.state
+                == scalar._rng.bit_generator.state
+            )
