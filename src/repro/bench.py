@@ -99,9 +99,12 @@ PROFILES = {
     "smoke": {
         "build": {"capacity": 8, "n_points": 400, "trials": 5},
         "census": {"capacity": 8, "n_points": 2000, "repeats": 5},
+        # the pooled vector run must last long enough (~200 ms) that
+        # chunk submission and worker wake-up cannot decide the gate;
+        # the object cross-check keeps the old 16 trials
         "parallel": {
-            "capacity": 8, "n_points": 800, "trials": 16,
-            "engine": "vector", "chunk_size": 4,
+            "capacity": 8, "n_points": 800, "trials": 512,
+            "engine": "vector", "chunk_size": 8, "object_trials": 16,
         },
         "warm_cache": {"capacity": 8, "n_points": 300, "trials": 3},
         "storage": {
@@ -229,7 +232,8 @@ def _stage_parallel(
 
     The headline runs on the pinned engine (vector, where workers take
     the batched-kernel path); an untraced object-engine pass rides
-    along as a cross-check so the snapshot shows both.  Each pooled
+    along as a cross-check so the snapshot shows both (on
+    ``object_trials`` trials when the profile sets it).  Each pooled
     measurement happens inside a warm :func:`runtime_session` — one
     untimed run spins the persistent workers up first, exactly the
     steady state a population sweep sees.
@@ -238,9 +242,9 @@ def _stage_parallel(
 
     engine = params.get("engine", "object")
     chunk_size = params.get("chunk_size")
-    spec = _spec(params)
 
-    def measure(eng: str, traced: bool):
+    def measure(eng: str, traced: bool, trials: int):
+        spec = _spec(params).with_trials(trials)
         # untimed serial warmup (imports, numpy dispatch)
         execute(
             spec.with_trials(1),
@@ -272,7 +276,9 @@ def _stage_parallel(
             pool_s = time.perf_counter() - began
         return serial_s, pool_s, serial_tracer, pool_tracer
 
-    serial_s, pool_s, serial_tracer, pool_tracer = measure(engine, True)
+    serial_s, pool_s, serial_tracer, pool_tracer = measure(
+        engine, True, params["trials"]
+    )
     result = {
         "params": dict(params),
         "workers": workers,
@@ -285,7 +291,11 @@ def _stage_parallel(
         "pool_trace": _snapshot(pool_tracer),
     }
     if engine != "object":
-        obj_serial_s, obj_pool_s, _, _ = measure("object", False)
+        # the object engine costs ~20x more per trial, so a profile may
+        # give its cross-check fewer trials than the headline
+        obj_serial_s, obj_pool_s, _, _ = measure(
+            "object", False, params.get("object_trials", params["trials"])
+        )
         result["object_serial_s"] = obj_serial_s
         result["object_pool_s"] = obj_pool_s
         result["object_speedup"] = (

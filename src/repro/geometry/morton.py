@@ -16,6 +16,7 @@ verify against the real tree).
 from __future__ import annotations
 
 import bisect
+import functools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .point import Point
@@ -79,13 +80,31 @@ def interleave_many(coords: "np.ndarray", bits: int) -> "np.ndarray":
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << bits)):
         bad = arr[(arr < 0) | (arr >= (1 << bits))].flat[0]
         raise ValueError(f"coordinate {bad} outside 0..{(1 << bits) - 1}")
-    arr = arr.astype(np.uint64)
+    # one table lookup per (byte, axis) instead of one shift per
+    # (bit, axis): bit i of axis a lands at i*dim + (dim-1-a)
+    arr = arr.astype(np.int64, copy=False)
+    table = _spread_table(dim)
     codes = np.zeros(arr.shape[0], dtype=np.uint64)
-    one = np.uint64(1)
-    for level in range(bits - 1, -1, -1):
+    for low in range(0, bits, 8):
         for axis in range(dim):
-            codes = (codes << one) | ((arr[:, axis] >> np.uint64(level)) & one)
+            byte = (arr[:, axis] >> low) & 0xFF
+            codes |= table[byte] << np.uint64(low * dim + dim - 1 - axis)
     return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _spread_table(dim: int) -> "np.ndarray":
+    """256-entry table moving bit ``i`` of a byte to bit ``i*dim``
+    (bits that would leave a 64-bit word are dropped; the 62-bit code
+    budget never needs them)."""
+    import numpy as np
+
+    table = [0] * 256
+    for byte in range(256):
+        for i in range(8):
+            if (byte >> i) & 1 and i * dim < 64:
+                table[byte] |= 1 << (i * dim)
+    return np.array(table, dtype=np.uint64)
 
 
 def deinterleave(code: int, dim: int, bits: int) -> Tuple[int, ...]:

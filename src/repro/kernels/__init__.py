@@ -10,6 +10,10 @@ materializing trees.  Currently:
 - :func:`vector_census_batch` — the same engine over a stack of
   trials at once (one interleave + one argsort per batch), which pool
   workers use to amortize numpy fixed costs across a whole chunk;
+- :func:`~repro.kernels.quantize.morton_cells` — the one exact
+  coordinates → grid-cells quantizer all of the above encode with
+  (closed form on dyadic roots, a replay of the tree's descent
+  otherwise);
 - :class:`QueryKernel` / :class:`PartialMatchResult` — sort-once batch
   *query* kernels over the same sorted Morton array: range queries as
   code-interval stabs, exact batched k-NN, and partial match with

@@ -7,10 +7,10 @@ PR quadtree's quadrant path is exactly the prefix of a Morton code
 :mod:`repro.geometry.morton`), so the steady-state census can be
 computed straight from the point coordinates:
 
-1. **codes** — descend every point through the regular decomposition at
-   once (numpy, level by level), reading off one quadrant bit per axis
-   per level, and pack the per-axis bit strings into Morton codes with
-   :func:`repro.geometry.interleave_many`;
+1. **codes** — quantize every point to its grid cell at the code's
+   full depth (:func:`repro.kernels.quantize.morton_cells`: one quadrant
+   bit per axis per level) and pack the per-axis bit strings into
+   Morton codes with :func:`repro.geometry.interleave_many`;
 2. **sort** — one ``argsort`` puts every depth-``k`` block's points
    into a contiguous run, for every ``k`` simultaneously;
 3. **partition** — apply the PR splitting rule ("split while a block
@@ -25,12 +25,21 @@ dimension, capacity, depth limit, bounds, and duplicate-containing
 input, which the parity suite (``tests/test_kernel_parity.py``)
 enforces.  Two details make that work:
 
-- Coordinates are quantized by replaying the tree's own float
-  arithmetic — ``mid = (lo + hi) / 2.0`` per axis per level, exactly
-  :meth:`Point.midpoint` inside :meth:`Rect.child` — rather than by an
-  affine ``(p - lo) / side * 2**bits`` map, which rounds differently
-  for non-dyadic bounds and would misplace points that sit within one
-  ulp of a block boundary.
+- Quantization gives exactly the cells the tree's own float descent
+  reaches.  On a dyadic root — ``[0, 2^e)`` on every axis, as for the
+  unit square of every paper table — every midpoint
+  ``(lo + hi) / 2.0`` is an exact binary fraction with at most
+  ``levels`` significant bits, so the descent reads off the binary
+  digits of ``p / 2^e`` and the cells are the closed form
+  ``floor(p · 2^(levels − e))``: one exact power-of-two scale and one
+  truncation per coordinate, with no block ever unsplittable.  Any
+  other root (non-dyadic bounds, or 1-d's 62 levels, deeper than a
+  double's 53 bits) replays the arithmetic itself — ``mid = (lo +
+  hi) / 2.0`` per axis per level, exactly :meth:`Point.midpoint`
+  inside :meth:`Rect.child` — because there an affine
+  ``(p - lo) / side * 2**bits`` map rounds differently and would
+  misplace points within one ulp of a block boundary.  Replayed calls
+  count ``kernel.codes.replay``.
 - The tree's two overflow floors are reproduced: a block pins (stops
   splitting, keeps its overflow) at ``max_depth`` and wherever float
   precision makes its rect unsplittable (``Rect.is_splittable``), and
@@ -54,6 +63,7 @@ import numpy as np
 from .. import obs
 from ..geometry import Point, Rect, interleave_many
 from ..quadtree import DepthCensus, OccupancyCensus
+from .quantize import cell_bounds, morton_cells
 
 #: Morton codes must stay exact in int64/uint64 arithmetic.
 _CODE_BITS = 62
@@ -109,12 +119,17 @@ class LeafPartition:
         """Census of leaves by (depth, occupancy) — bit-identical to
         ``PRQuadtree.depth_census`` on the same points."""
         occ = self._clamped(clamp_overflow)
-        by_depth = {}
-        for depth in np.unique(self.depths):
-            row = np.bincount(
-                occ[self.depths == depth], minlength=self.capacity + 1
-            )
-            by_depth[int(depth)] = tuple(row.tolist())
+        width = self.capacity + 1
+        n_depths = int(self.depths.max()) + 1 if self.depths.size else 0
+        # one bincount over (depth, occupancy) cells; a depth is present
+        # iff its row counts at least one leaf
+        table = np.bincount(
+            self.depths * width + occ, minlength=n_depths * width
+        ).reshape(n_depths, width)
+        by_depth = {
+            int(depth): tuple(table[depth].tolist())
+            for depth in np.flatnonzero(table.any(axis=1))
+        }
         return DepthCensus(by_depth, self.capacity)
 
 
@@ -258,23 +273,11 @@ def _partition_block(
     if max_depth is not None:
         levels = min(levels, max_depth)
 
-    # -- codes: replay the tree's descent arithmetic, vectorized -------
+    # -- codes: the tree's grid cells, interleaved ---------------------
     with obs.span("kernel.codes"):
-        lo = np.repeat(root_lo[None, :], n, axis=0)
-        hi = np.repeat(root_hi[None, :], n, axis=0)
-        cells = np.zeros((n, dim), dtype=np.uint64)
-        # first depth at which a point's block cannot split (sentinel:
-        # deeper than any partition depth this round)
-        pin = np.full(n, levels + 1, dtype=np.int64)
-        one = np.uint64(1)
-        for level in range(levels):
-            mid = (lo + hi) / 2.0
-            stuck = ~((lo < mid) & (mid < hi)).all(axis=1)
-            pin = np.where((pin > levels) & stuck, level, pin)
-            geq = pts >= mid
-            cells = (cells << one) | geq.astype(np.uint64)
-            lo = np.where(geq, mid, lo)
-            hi = np.where(geq, hi, mid)
+        # pin: first depth at which a point's block cannot split
+        # (sentinel: deeper than any partition depth this round)
+        cells, pin = morton_cells(pts, root_lo, root_hi, levels)
         codes = interleave_many(cells, levels)
 
     with obs.span("kernel.sort"):
@@ -309,13 +312,14 @@ def _partition_block(
                 # the block with a fresh 62-bit budget (rare — only
                 # near-coincident point groups land here)
                 sub_md = None if max_depth is None else max_depth - levels
-                for s, e in zip(starts.tolist(), stops.tolist()):
-                    idx = order[s:e]
+                lo, hi = cell_bounds(
+                    cells[order[starts]], root_lo, root_hi, levels
+                )
+                for i, (s, e) in enumerate(
+                    zip(starts.tolist(), stops.tolist())
+                ):
                     pending.append((
-                        pts[idx],
-                        lo[idx[0]].copy(),
-                        hi[idx[0]].copy(),
-                        sub_md,
+                        pts[order[s:e]], lo[i], hi[i], sub_md,
                         depth_offset + levels,
                     ))
                 break
@@ -368,7 +372,7 @@ def vector_census_batch(
 
     ``points`` is a ``(B, n, dim)`` float64 tensor: ``B`` independent
     trials of ``n`` points each over the same ``bounds``.  The batch
-    shares one vectorized descent, one Morton interleave, and one
+    shares one quantization, one Morton interleave, and one
     (row-wise) argsort across all trials; the splitting-rule loop then
     walks every trial's runs *simultaneously*, with a per-run trial
     tag carried alongside the ``(start, stop)`` segment boundaries so
@@ -516,23 +520,10 @@ def _partition_batch(
     levels = _CODE_BITS // dim
     if max_depth is not None:
         levels = min(levels, max_depth)
-    total = n_trials * n
 
-    # -- codes: one descent for the whole batch ------------------------
+    # -- codes: one quantization for the whole batch -------------------
     with obs.span("kernel.codes"):
-        lo = np.repeat(root_lo[None, :], total, axis=0)
-        hi = np.repeat(root_hi[None, :], total, axis=0)
-        cells = np.zeros((total, dim), dtype=np.uint64)
-        pin = np.full(total, levels + 1, dtype=np.int64)
-        one = np.uint64(1)
-        for level in range(levels):
-            mid = (lo + hi) / 2.0
-            stuck = ~((lo < mid) & (mid < hi)).all(axis=1)
-            pin = np.where((pin > levels) & stuck, level, pin)
-            geq = flat >= mid
-            cells = (cells << one) | geq.astype(np.uint64)
-            lo = np.where(geq, mid, lo)
-            hi = np.where(geq, hi, mid)
+        cells, pin = morton_cells(flat, root_lo, root_hi, levels)
         codes = interleave_many(cells, levels)
 
     # -- sort: one row-wise argsort orders every trial at once ---------
@@ -570,16 +561,14 @@ def _partition_batch(
                     break
             if depth == levels:
                 sub_md = None if max_depth is None else max_depth - levels
-                for s, e, t in zip(
+                lo, hi = cell_bounds(
+                    cells[order[starts]], root_lo, root_hi, levels
+                )
+                for i, (s, e, t) in enumerate(zip(
                     starts.tolist(), stops.tolist(), run_trial.tolist()
-                ):
-                    idx = order[s:e]
+                )):
                     deep_jobs.append((t, (
-                        flat[idx],
-                        lo[idx[0]].copy(),
-                        hi[idx[0]].copy(),
-                        sub_md,
-                        levels,
+                        flat[order[s:e]], lo[i], hi[i], sub_md, levels,
                     )))
                 break
             shift = np.uint64((levels - 1 - depth) * dim)

@@ -4,16 +4,16 @@
 sorting every point's Morton code once and partitioning runs; this
 module extends the same sort-once-then-vectorize idea to the query
 paths a spatial service actually hammers.  A :class:`QueryKernel` is
-built once per point set (dedupe, one descent, one interleave, one
-argsort — the census engine's exact encoding) and then answers whole
-*batches* of queries with numpy passes over the sorted array:
+built once per point set (dedupe, one quantization, one interleave,
+one argsort — the census engine's exact encoding) and then answers
+whole *batches* of queries with numpy passes over the sorted array:
 
 - **batch range** — each query box is covered by a small box of grid
   cells at a per-query depth (cells ≈ query size), the cells' Morton
   intervals are stabbed into the sorted codes with one
   ``np.searchsorted``, and the gathered candidates pass one exact
   coordinate filter.  The cell indices of the query's corners come
-  from the same midpoint descent that encoded the points, so the
+  from the same quantizer that encoded the points, so the
   cover is provably exact — no per-node Python dispatch anywhere.
 - **batch k-NN** — a code-neighborhood window around each query's
   sorted position yields an upper bound ``r`` on the k-th distance
@@ -34,11 +34,12 @@ reported in canonical lexicographic order) to
 ``PRQuadtree.range_search`` / ``nearest`` on the same stored points,
 property-tested across structures, dimensions, duplicates, and
 degenerate windows in ``tests/test_query_kernels.py``.  Two details
-carry over from the census engine: coordinates are encoded by
-replaying ``mid = (lo + hi) / 2.0`` per axis per level (never an
-affine map), and k-NN distances accumulate per-axis squared terms in
-axis order before one ``sqrt`` — the same float operation sequence as
-``Point.distance_to``, so distance ties break identically.
+carry over from the census engine: coordinates are encoded into the
+exact cells the tree's ``mid = (lo + hi) / 2.0`` descent reaches
+(:func:`~repro.kernels.quantize.morton_cells`), and k-NN distances
+accumulate per-axis squared terms in axis order before one ``sqrt`` —
+the same float operation sequence as ``Point.distance_to``, so
+distance ties break identically.
 
 One census-engine caveat does *not* apply here: near-coincident
 points that outrun the 62-bit code budget need no recursive re-coding,
@@ -58,6 +59,7 @@ import numpy as np
 from .. import obs
 from ..geometry import Point, Rect, interleave_many
 from .census import _CODE_BITS, _as_coord_array, _multi_arange
+from .quantize import morton_cells
 
 PointInput = Union[Sequence[Point], np.ndarray]
 
@@ -161,12 +163,8 @@ class QueryKernel:
             # normalize -0.0 and drop duplicates, like the tree's insert
             arr = np.unique(arr + 0.0, axis=0)
             levels = _CODE_BITS // dim
-            cells, pin = _descend_cells(arr, root_lo, root_hi, levels)
-            codes = (
-                interleave_many(cells, levels)
-                if arr.shape[0]
-                else np.empty(0, dtype=np.uint64)
-            )
+            cells, pin = morton_cells(arr, root_lo, root_hi, levels)
+            codes = interleave_many(cells, levels)
             order = np.argsort(codes, kind="stable")
             kernel = cls(
                 coords=arr[order],
@@ -327,7 +325,7 @@ class QueryKernel:
             # -- phase 1: seed windows around each query's code position
             inner_hi = np.nextafter(self._root_hi, -np.inf)
             clamped = np.clip(qarr, self._root_lo, inner_hi)
-            qcells, _ = _descend_cells(
+            qcells, _ = morton_cells(
                 clamped, self._root_lo, self._root_hi, self._levels
             )
             qcodes = interleave_many(qcells, self._levels)
@@ -575,11 +573,11 @@ class QueryKernel:
         """Merged code intervals covering every stored point inside
         each closed corner box (corners already clamped into the root).
 
-        Per query, the corners are run through the same midpoint
-        descent that encoded the points, giving their grid-cell
-        indices at every depth; the chosen depth is the deepest whose
+        Per query, the corners are run through the same quantizer
+        that encoded the points, giving their grid-cell indices at
+        every depth; the chosen depth is the deepest whose
         index box holds at most ``cell_budget`` cells.  Because the
-        per-axis descent index is monotone in the coordinate, every
+        per-axis cell index is monotone in the coordinate, every
         stored point between the corners lands inside that index box
         — the cover is exact by construction, with zero float slop.
 
@@ -596,10 +594,10 @@ class QueryKernel:
         if n_queries == 0:
             return e_int, e_code, e_code
         levels = self._levels
-        lo_cells, _ = _descend_cells(
+        lo_cells, _ = morton_cells(
             lo_corner, self._root_lo, self._root_hi, levels
         )
-        hi_cells, _ = _descend_cells(
+        hi_cells, _ = morton_cells(
             hi_corner, self._root_lo, self._root_hi, levels
         )
         # cell-box sizes at every depth L: index >> (levels - L)
@@ -674,32 +672,6 @@ class QueryKernel:
 # ----------------------------------------------------------------------
 # module helpers
 # ----------------------------------------------------------------------
-
-
-def _descend_cells(
-    arr: np.ndarray,
-    root_lo: np.ndarray,
-    root_hi: np.ndarray,
-    levels: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-axis grid-cell bit strings (and first-unsplittable-depth
-    pins) by replaying the tree's descent arithmetic — the census
-    engine's encoding, pre-interleave."""
-    n, dim = arr.shape
-    lo = np.repeat(root_lo[None, :], n, axis=0)
-    hi = np.repeat(root_hi[None, :], n, axis=0)
-    cells = np.zeros((n, dim), dtype=np.uint64)
-    pin = np.full(n, levels + 1, dtype=np.int64)
-    one = np.uint64(1)
-    for level in range(levels):
-        mid = (lo + hi) / 2.0
-        stuck = ~((lo < mid) & (mid < hi)).all(axis=1)
-        pin = np.where((pin > levels) & stuck, level, pin)
-        geq = arr >= mid
-        cells = (cells << one) | geq.astype(np.uint64)
-        lo = np.where(geq, mid, lo)
-        hi = np.where(geq, hi, mid)
-    return cells, pin
 
 
 def _exact_distances(pts: np.ndarray, q: np.ndarray) -> np.ndarray:

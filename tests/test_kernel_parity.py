@@ -192,6 +192,20 @@ class TestExecutorParity:
         assert obj.accumulator.count_sums == vec.accumulator.count_sums
         assert obj.depth_censuses == vec.depth_censuses
 
+    @pytest.mark.parametrize("overrides", [
+        dict(capacity=1, n_points=300),
+        dict(capacity=8, n_points=2000, trials=3),
+        dict(generator="gaussian", capacity=8, n_points=1500, trials=3),
+        dict(capacity=2, max_depth=6),
+        dict(capacity=1, max_depth=0, trials=2),
+    ])
+    def test_depth_censuses_match_object_tree(self, overrides):
+        spec = self.spec(**overrides)
+        obj = build_trials(spec, 0, spec.trials, engine="object")
+        vec = build_trials(spec, 0, spec.trials, engine="vector")
+        assert len(vec.depth_censuses) == spec.trials
+        assert obj.depth_censuses == vec.depth_censuses
+
     def test_gaussian_generator(self):
         spec = self.spec(generator="gaussian")
         obj = build_trials(spec, 0, spec.trials, engine="object")

@@ -110,6 +110,22 @@ class TestLeafPartition:
         with pytest.raises(ValueError, match="exceeds capacity"):
             part.depth_census(clamp_overflow=False)
 
+    def test_depth_census_skips_absent_depths(self):
+        part = LeafPartition(
+            capacity=2,
+            depths=np.array([3, 1, 3, 3]),
+            occupancies=np.array([0, 2, 1, 7]),
+        )
+        census = part.depth_census()
+        assert census.by_depth == {1: (0, 0, 1), 3: (1, 1, 1)}
+        assert list(census.by_depth) == [1, 3]
+        empty = LeafPartition(
+            capacity=4,
+            depths=np.empty(0, dtype=np.int64),
+            occupancies=np.empty(0, dtype=np.int64),
+        )
+        assert empty.depth_census().by_depth == {}
+
     def test_census_counts_are_plain_ints(self):
         partition = vector_census(
             [Point(0.1, 0.1), Point(0.9, 0.9)], capacity=1
