@@ -20,106 +20,60 @@ Quickstart::
     print(tree.occupancy_census().proportions())  # the experiment
 """
 
-from .core import (
-    AreaWeightedModel,
-    ModelComparison,
-    OscillationFit,
-    PMRPopulationModel,
-    PopulationModel,
-    SteadyState,
-    post_split_average_occupancy,
-    solve_analytic,
-    solve_eigen,
-    solve_fixed_point_iteration,
-    solve_newton,
-    transform_matrix,
-)
-from .excell import Excell
-from .experiments import (
-    run_figure2,
-    run_figure3,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
-from .geometry import Point, Rect, Segment
-from .gridfile import GridFile
-from .hashing import ExtendibleHashing
-from .quadtree import (
-    CensusAccumulator,
-    DepthCensus,
-    OccupancyCensus,
-    PMRQuadtree,
-    PointQuadtree,
-    PRBintree,
-    PRQuadtree,
-)
-from .runtime import (
-    ExperimentSpec,
-    ResultCache,
-    RunReport,
-    RuntimeConfig,
-    runtime_session,
-)
-from .storage import BufferPool, PagedPRQuadtree, PageFile
-from .workloads import (
-    ClusteredPoints,
-    DiagonalPoints,
-    GaussianPoints,
-    RandomSegments,
-    UniformPoints,
-    logarithmic_sample_sizes,
-)
+from ._lazy import exports
+
+#: Public names, by the submodule that defines them (``module:name``
+#: for an alias); each loads on first use, see :mod:`repro._lazy`.
+_EXPORTS = {
+    "AreaWeightedModel": "core",
+    "ModelComparison": "core",
+    "OscillationFit": "core",
+    "PMRPopulationModel": "core",
+    "PopulationModel": "core",
+    "SteadyState": "core",
+    "post_split_average_occupancy": "core",
+    "solve_analytic": "core",
+    "solve_eigen": "core",
+    "solve_fixed_point_iteration": "core",
+    "solve_newton": "core",
+    "transform_matrix": "core",
+    "Excell": "excell",
+    "run_figure2": "experiments",
+    "run_figure3": "experiments",
+    "run_table1": "experiments",
+    "run_table2": "experiments",
+    "run_table3": "experiments",
+    "run_table4": "experiments",
+    "run_table5": "experiments",
+    "Point": "geometry",
+    "Rect": "geometry",
+    "Segment": "geometry",
+    "GridFile": "gridfile",
+    "ExtendibleHashing": "hashing",
+    "CensusAccumulator": "quadtree",
+    "DepthCensus": "quadtree",
+    "OccupancyCensus": "quadtree",
+    "PMRQuadtree": "quadtree",
+    "PointQuadtree": "quadtree",
+    "PRBintree": "quadtree",
+    "PRQuadtree": "quadtree",
+    "ExperimentSpec": "runtime",
+    "ResultCache": "runtime",
+    "RunReport": "runtime",
+    "RuntimeConfig": "runtime",
+    "runtime_session": "runtime",
+    "BufferPool": "storage",
+    "PagedPRQuadtree": "storage",
+    "PageFile": "storage",
+    "ClusteredPoints": "workloads",
+    "DiagonalPoints": "workloads",
+    "GaussianPoints": "workloads",
+    "RandomSegments": "workloads",
+    "UniformPoints": "workloads",
+    "logarithmic_sample_sizes": "workloads",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AreaWeightedModel",
-    "CensusAccumulator",
-    "BufferPool",
-    "ClusteredPoints",
-    "DepthCensus",
-    "DiagonalPoints",
-    "Excell",
-    "ExperimentSpec",
-    "ExtendibleHashing",
-    "GaussianPoints",
-    "GridFile",
-    "ModelComparison",
-    "OccupancyCensus",
-    "OscillationFit",
-    "PMRPopulationModel",
-    "PMRQuadtree",
-    "PageFile",
-    "PagedPRQuadtree",
-    "Point",
-    "PointQuadtree",
-    "PopulationModel",
-    "PRBintree",
-    "PRQuadtree",
-    "RandomSegments",
-    "Rect",
-    "ResultCache",
-    "RunReport",
-    "RuntimeConfig",
-    "Segment",
-    "SteadyState",
-    "UniformPoints",
-    "logarithmic_sample_sizes",
-    "post_split_average_occupancy",
-    "run_figure2",
-    "run_figure3",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "runtime_session",
-    "solve_analytic",
-    "solve_eigen",
-    "solve_fixed_point_iteration",
-    "solve_newton",
-    "transform_matrix",
-]
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

@@ -6,9 +6,9 @@ time went, not just how much there was:
 
 - **build** — cold serial tree construction (the harness's inner loop);
 - **census** — occupancy + per-depth censuses over a prebuilt tree;
-- **parallel** — the same workload serial vs. the persistent
-  shared-memory process pool on the pinned engine (vector, where the
-  pool's batched kernel path applies), reporting the headline speedup
+- **parallel** — the same workload serial vs. the persistent process
+  pool on the pinned engine (vector, where both legs run the batched
+  kernel path at the same chunk size), reporting the headline speedup
   plus an object-engine cross-check; the pool is warmed untimed first
   so the number measures the steady state a sweep actually sees;
 - **warm_cache** — cold store then warm load through the result cache,
@@ -226,9 +226,11 @@ def _stage_census(params: Dict[str, Any]) -> Dict[str, Any]:
 def _stage_parallel(
     params: Dict[str, Any], workers: int
 ) -> Dict[str, Any]:
-    """Identical workload serial vs. the persistent shared-memory pool;
+    """Identical workload serial vs. the persistent worker pool;
     results are bit-identical by the runtime's seed contract, so only
-    the clock differs.
+    the clock differs.  Both legs run the profile's ``chunk_size``, so
+    they make the same kernel batches and the speedup measures
+    parallelism, not batching.
 
     The headline runs on the pinned engine (vector, where workers take
     the batched-kernel path); an untraced object-engine pass rides
@@ -256,7 +258,7 @@ def _stage_parallel(
         execute(
             spec,
             RuntimeConfig(workers=1, use_cache=False, engine=eng,
-                          tracer=serial_tracer),
+                          chunk_size=chunk_size, tracer=serial_tracer),
         )
         serial_s = time.perf_counter() - began
 

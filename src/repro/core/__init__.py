@@ -10,145 +10,73 @@
 - :mod:`~repro.core.pmr_model` — population analysis of the PMR tree.
 """
 
-from .aging import (
-    AreaWeightedModel,
-    DepthRow,
-    aging_gradient,
-    calibrated_area_model,
-    depth_occupancy_table,
-    mean_area_by_occupancy,
-)
-from .density_model import (
-    Density,
-    TruncatedGaussianDensity,
-    UniformDensity,
-    average_occupancy as density_average_occupancy,
-    expected_leaf_census as density_expected_leaf_census,
-    occupancy_series as density_occupancy_series,
-)
-from .dynamics import (
-    PopulationDynamics,
-    StochasticPopulation,
-    generation_span,
-    split_outcome_probabilities,
-)
-from .fagin import (
-    average_occupancy as statistical_average_occupancy,
-    expected_distribution as statistical_expected_distribution,
-    expected_leaf_profile,
-    expected_total_leaves,
-    occupancy_by_depth as statistical_occupancy_by_depth,
-    occupancy_series as statistical_occupancy_series,
-)
-from .planning import MAX_PLANNED_CAPACITY, PlanValidation, StoragePlanner
-from .sensitivity import (
-    directional_derivative,
-    occupancy_gradient_wrt_matrix,
-    pmr_occupancy_error_bar,
-    pmr_occupancy_sensitivity,
-)
-from .fixed_point import (
-    SteadyState,
-    residual,
-    solve,
-    solve_analytic,
-    solve_eigen,
-    solve_fixed_point_iteration,
-    solve_newton,
-)
-from .phasing import (
-    OscillationFit,
-    damping_ratio,
-    dominant_period,
-    extrema_spacing,
-    fit_oscillation,
-    log_periodogram,
-    oscillation_period,
-)
-from .pmr_model import (
-    PMRPopulationModel,
-    crossing_probability_for,
-    estimate_crossing_probability,
-    pmr_transform_matrix,
-)
-from .population import ModelComparison, PopulationModel
-from .uniqueness import (
-    FixedPointCandidate,
-    enumerate_fixed_points,
-    is_irreducible,
-    verify_unique_positive,
-)
-from .transform import (
-    post_split_average_occupancy,
-    recursion_probability,
-    row_sums,
-    row_sums_exact,
-    split_distribution,
-    split_row,
-    transform_matrix,
-    transform_matrix_exact,
-)
+from .._lazy import exports
 
-__all__ = [
-    "AreaWeightedModel",
-    "Density",
-    "DepthRow",
-    "FixedPointCandidate",
-    "MAX_PLANNED_CAPACITY",
-    "PlanValidation",
-    "ModelComparison",
-    "OscillationFit",
-    "PMRPopulationModel",
-    "PopulationDynamics",
-    "PopulationModel",
-    "SteadyState",
-    "StochasticPopulation",
-    "StoragePlanner",
-    "TruncatedGaussianDensity",
-    "UniformDensity",
-    "aging_gradient",
-    "calibrated_area_model",
-    "crossing_probability_for",
-    "damping_ratio",
-    "density_average_occupancy",
-    "density_expected_leaf_census",
-    "density_occupancy_series",
-    "depth_occupancy_table",
-    "directional_derivative",
-    "dominant_period",
-    "enumerate_fixed_points",
-    "estimate_crossing_probability",
-    "expected_leaf_profile",
-    "expected_total_leaves",
-    "extrema_spacing",
-    "fit_oscillation",
-    "generation_span",
-    "is_irreducible",
-    "log_periodogram",
-    "mean_area_by_occupancy",
-    "occupancy_gradient_wrt_matrix",
-    "oscillation_period",
-    "pmr_occupancy_error_bar",
-    "pmr_occupancy_sensitivity",
-    "pmr_transform_matrix",
-    "post_split_average_occupancy",
-    "recursion_probability",
-    "residual",
-    "row_sums",
-    "row_sums_exact",
-    "solve",
-    "solve_analytic",
-    "solve_eigen",
-    "solve_fixed_point_iteration",
-    "solve_newton",
-    "split_distribution",
-    "split_outcome_probabilities",
-    "split_row",
-    "statistical_average_occupancy",
-    "statistical_expected_distribution",
-    "statistical_occupancy_by_depth",
-    "statistical_occupancy_series",
-    "transform_matrix",
-    "transform_matrix_exact",
-    "verify_unique_positive",
-]
+#: Public names, by the submodule that defines them (``module:name``
+#: for an alias); each loads on first use, see :mod:`repro._lazy`.
+_EXPORTS = {
+    "AreaWeightedModel": "aging",
+    "DepthRow": "aging",
+    "aging_gradient": "aging",
+    "calibrated_area_model": "aging",
+    "depth_occupancy_table": "aging",
+    "mean_area_by_occupancy": "aging",
+    "Density": "density_model",
+    "TruncatedGaussianDensity": "density_model",
+    "UniformDensity": "density_model",
+    "density_average_occupancy": "density_model:average_occupancy",
+    "density_expected_leaf_census": "density_model:expected_leaf_census",
+    "density_occupancy_series": "density_model:occupancy_series",
+    "PopulationDynamics": "dynamics",
+    "StochasticPopulation": "dynamics",
+    "generation_span": "dynamics",
+    "split_outcome_probabilities": "dynamics",
+    "statistical_average_occupancy": "fagin:average_occupancy",
+    "statistical_expected_distribution": "fagin:expected_distribution",
+    "expected_leaf_profile": "fagin",
+    "expected_total_leaves": "fagin",
+    "statistical_occupancy_by_depth": "fagin:occupancy_by_depth",
+    "statistical_occupancy_series": "fagin:occupancy_series",
+    "MAX_PLANNED_CAPACITY": "planning",
+    "PlanValidation": "planning",
+    "StoragePlanner": "planning",
+    "directional_derivative": "sensitivity",
+    "occupancy_gradient_wrt_matrix": "sensitivity",
+    "pmr_occupancy_error_bar": "sensitivity",
+    "pmr_occupancy_sensitivity": "sensitivity",
+    "SteadyState": "fixed_point",
+    "residual": "fixed_point",
+    "solve": "fixed_point",
+    "solve_analytic": "fixed_point",
+    "solve_eigen": "fixed_point",
+    "solve_fixed_point_iteration": "fixed_point",
+    "solve_newton": "fixed_point",
+    "OscillationFit": "phasing",
+    "damping_ratio": "phasing",
+    "dominant_period": "phasing",
+    "extrema_spacing": "phasing",
+    "fit_oscillation": "phasing",
+    "log_periodogram": "phasing",
+    "oscillation_period": "phasing",
+    "PMRPopulationModel": "pmr_model",
+    "crossing_probability_for": "pmr_model",
+    "estimate_crossing_probability": "pmr_model",
+    "pmr_transform_matrix": "pmr_model",
+    "ModelComparison": "population",
+    "PopulationModel": "population",
+    "FixedPointCandidate": "uniqueness",
+    "enumerate_fixed_points": "uniqueness",
+    "is_irreducible": "uniqueness",
+    "verify_unique_positive": "uniqueness",
+    "post_split_average_occupancy": "transform",
+    "recursion_probability": "transform",
+    "row_sums": "transform",
+    "row_sums_exact": "transform",
+    "split_distribution": "transform",
+    "split_row": "transform",
+    "transform_matrix": "transform",
+    "transform_matrix_exact": "transform",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

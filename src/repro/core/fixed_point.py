@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .. import obs
 
@@ -205,6 +204,11 @@ def solve_newton(
         e0 = np.asarray(initial, dtype=float)
         e0 = e0 / e0.sum()
     x0 = np.concatenate([e0, [float(e0 @ row_totals)]])
+    # imported here, not at module level: only this solver needs
+    # scipy.optimize, which adds ~0.3 s to importing the server (whose
+    # drift monitor plans storage by the default iteration solver)
+    from scipy import optimize
+
     with obs.span("solver.newton"):
         result = optimize.root(equations, x0, jac=jacobian, method="hybr")
     if not result.success:

@@ -1,88 +1,49 @@
 """Experiment harness and regenerators for every table and figure."""
 
 from . import paper_data
-from .figures import (
-    FIGURE1_POINTS,
-    FigureSeries,
-    build_figure1_tree,
-    render_quadtree_ascii,
-    render_semilog_ascii,
-    run_figure2,
-    run_figure3,
-)
-from .csv_export import (
-    write_phasing_csv,
-    write_sweep_csv,
-    write_table1_csv,
-    write_table2_csv,
-    write_table3_csv,
-)
-from .goodness import FitResult, chi_squared_fit
-from .report import generate_report
-from .harness import (
-    SizeSweepPoint,
-    TrialSet,
-    build_tree,
-    gaussian_factory,
-    occupancy_vs_size,
-    run_trials,
-    spec_for,
-    uniform_factory,
-)
-from .tables import (
-    CAPACITIES,
-    PhasingRow,
-    Table1Row,
-    Table2Row,
-    Table3Result,
-    format_phasing_table,
-    format_table1,
-    format_table2,
-    format_table3,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
+from .._lazy import exports
 
-__all__ = [
-    "CAPACITIES",
-    "FIGURE1_POINTS",
-    "FigureSeries",
-    "FitResult",
-    "chi_squared_fit",
-    "PhasingRow",
-    "SizeSweepPoint",
-    "Table1Row",
-    "Table2Row",
-    "Table3Result",
-    "TrialSet",
-    "build_figure1_tree",
-    "build_tree",
-    "format_phasing_table",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "gaussian_factory",
-    "generate_report",
-    "occupancy_vs_size",
-    "paper_data",
-    "render_quadtree_ascii",
-    "render_semilog_ascii",
-    "run_figure2",
-    "run_figure3",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_trials",
-    "spec_for",
-    "uniform_factory",
-    "write_phasing_csv",
-    "write_sweep_csv",
-    "write_table1_csv",
-    "write_table2_csv",
-    "write_table3_csv",
-]
+#: Public names, by the submodule that defines them (``module:name``
+#: for an alias); each loads on first use, see :mod:`repro._lazy`.
+_EXPORTS = {
+    "FIGURE1_POINTS": "figures",
+    "FigureSeries": "figures",
+    "build_figure1_tree": "figures",
+    "render_quadtree_ascii": "figures",
+    "render_semilog_ascii": "figures",
+    "run_figure2": "figures",
+    "run_figure3": "figures",
+    "write_phasing_csv": "csv_export",
+    "write_sweep_csv": "csv_export",
+    "write_table1_csv": "csv_export",
+    "write_table2_csv": "csv_export",
+    "write_table3_csv": "csv_export",
+    "FitResult": "goodness",
+    "chi_squared_fit": "goodness",
+    "generate_report": "report",
+    "SizeSweepPoint": "harness",
+    "TrialSet": "harness",
+    "build_tree": "harness",
+    "gaussian_factory": "harness",
+    "occupancy_vs_size": "harness",
+    "run_trials": "harness",
+    "spec_for": "harness",
+    "uniform_factory": "harness",
+    "CAPACITIES": "tables",
+    "PhasingRow": "tables",
+    "Table1Row": "tables",
+    "Table2Row": "tables",
+    "Table3Result": "tables",
+    "format_phasing_table": "tables",
+    "format_table1": "tables",
+    "format_table2": "tables",
+    "format_table3": "tables",
+    "run_table1": "tables",
+    "run_table2": "tables",
+    "run_table3": "tables",
+    "run_table4": "tables",
+    "run_table5": "tables",
+}
+
+__all__ = sorted([*_EXPORTS, "paper_data"])
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

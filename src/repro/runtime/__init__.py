@@ -20,18 +20,11 @@ from .executor import (
     TrialResult,
     active_config,
     build_trials,
-    build_trials_from_arrays,
     execute,
     plan_chunks,
     runtime_session,
 )
 from .metrics import ChunkMetric, MetricsCollector, RunReport
-from .sharedmem import (
-    SharedBlockRef,
-    SharedPointBlock,
-    live_block_count,
-    live_block_names,
-)
 from .spec import (
     SCHEMA_VERSION,
     ExperimentSpec,
@@ -55,17 +48,12 @@ __all__ = [
     "RunReport",
     "RuntimeConfig",
     "SCHEMA_VERSION",
-    "SharedBlockRef",
-    "SharedPointBlock",
     "TrialResult",
     "active_config",
     "build_trials",
-    "build_trials_from_arrays",
     "default_cache_dir",
     "execute",
     "known_generators",
-    "live_block_count",
-    "live_block_names",
     "plan_chunks",
     "rect_to_tuple",
     "register_generator",

@@ -9,13 +9,12 @@ taking the fastest correct path available:
 2. **process pool** — with ``workers > 1`` the trial range is split
    into chunks and fanned out over a pool of **persistent workers**
    (one ``ProcessPoolExecutor`` per :func:`runtime_session`, not one
-   per call).  The coordinator generates every trial's points once —
-   via ``PointGenerator.generate_array``, vectorized for uniform and
-   Gaussian points — into a
-   ``multiprocessing.shared_memory`` block; workers attach numpy views
-   by name, so no point coordinate ever pickles.  Vector-engine
-   workers run whole chunks through one batched kernel call
-   (:func:`repro.kernels.vector_census_batch`).  A failed chunk is
+   per call).  A submission carries only the spec and a trial range:
+   each worker draws its chunk's points from the seed stream itself
+   and runs the same trial loop as the serial path
+   (:func:`build_trials`) — on the vector engine one batched kernel
+   call per chunk (:func:`repro.kernels.vector_census_batch`) — so the
+   coordinator only plans, submits and merges.  A failed chunk is
    retried once in the pool; a **broken** pool (worker crash) sends
    the failed chunk and every surviving future straight to in-process
    rescue — no futile resubmissions.  If the pool cannot be created at
@@ -24,11 +23,14 @@ taking the fastest correct path available:
    give every worker its own :class:`~repro.obs.Tracer`; the snapshots
    ride home with each chunk and merge into the coordinator's report
    as ``worker.N`` subtrees plus utilization gauges (busy fraction per
-   worker, straggler ratio, rescue fraction).  Those same utilization
-   numbers feed a :class:`~repro.runtime.autotune.ChunkAutotuner` that
-   adapts the default chunk size run over run;
-3. **serial** — ``workers <= 1`` runs in-process with zero pool
-   overhead, exactly like the historical harness loop.
+   worker, straggler ratio, rescue fraction), and each chunk's
+   transport shows as ``pool.dispatch`` (submit → worker start) and
+   ``pool.collect`` (worker end → result in hand).  Those same
+   utilization numbers feed a
+   :class:`~repro.runtime.autotune.ChunkAutotuner` that adapts the
+   default chunk size run over run;
+3. **serial** — ``workers <= 1`` runs the same trial loop in-process
+   with zero pool overhead.
 
 Every path preserves the harness's seed-stream contract: trial ``t``
 uses generator seed ``spec.seed + t``, and partial results merge in
@@ -55,14 +57,12 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..geometry import Point, Rect
+from ..geometry import Rect
 from ..obs import Tracer
 from ..quadtree import CensusAccumulator, DepthCensus, PRQuadtree
-from . import sharedmem
 from .autotune import ChunkAutotuner, PoolRunStats
 from .cache import ResultCache
 from .metrics import MetricsCollector
-from .sharedmem import SharedBlockRef, SharedPointBlock
 from .spec import ExperimentSpec
 
 
@@ -165,13 +165,23 @@ class ChunkOutcome:
     start: int
     trials: int
     payload: Dict[str, Any]
-    wall_time: float
+    #: ``time.perf_counter()`` when the chunk began and ended in its
+    #: worker.  The clock is CLOCK_MONOTONIC, shared by every process on
+    #: Linux, so the coordinator can set these against its own submit
+    #: and receive stamps (``pool.dispatch`` / ``pool.collect``).
+    began: float
+    ended: float
     #: worker process id — chunks from the same pool worker share one,
     #: which is how the coordinator groups per-worker telemetry
     pid: int = 0
     #: the worker-local tracer's ``to_dict()`` snapshot, when the
     #: coordinating run was traced (``None`` otherwise)
     trace: Optional[Dict[str, Any]] = None
+
+    @property
+    def wall_time(self) -> float:
+        """Seconds the chunk took where it ran."""
+        return self.ended - self.began
 
 
 # ----------------------------------------------------------------------
@@ -181,72 +191,45 @@ class ChunkOutcome:
 
 ENGINES = ("object", "vector")
 
+#: Most points one batched kernel call censuses.  A chunk larger than
+#: this runs as several batches, so a long serial run's memory stays
+#: bounded by the batch, not by its trial count.
+BATCH_POINTS = 1 << 20
+
 
 def build_trials(
     spec: ExperimentSpec, start: int, count: int, engine: str = "object"
 ) -> TrialResult:
     """Run trials ``start .. start+count-1`` of ``spec`` in-process.
 
-    This is *the* trial loop — serial execution, pool workers, and
-    degraded fallbacks all funnel through it, so the seed contract
-    lives in exactly one place.  ``engine`` picks how each trial's
+    This is *the* trial loop — serial execution, pool workers and
+    in-process rescue all funnel through it, so the seed contract lives
+    in exactly one place: trial ``t`` draws its points from
+    ``spec.make_generator(t)``.  ``engine`` picks how each trial's
     census is computed: ``"object"`` builds a real :class:`PRQuadtree`
-    (the parity oracle, and the only engine that can enumerate leaf
-    rectangles), ``"vector"`` runs the Morton-code kernel
-    (:func:`repro.kernels.vector_census`) — bit-identical censuses,
-    no tree.  Specs that collect leaf areas silently use the object
+    per trial from ``generate`` (the parity oracle, and the only engine
+    that can enumerate leaf rectangles); ``"vector"`` draws the chunk's
+    points with ``generate_array`` (bit-identical to ``generate``) and
+    censuses the whole chunk in one batched kernel call
+    (:func:`repro.kernels.vector_census_batch`) — bit-identical
+    censuses, no tree.  Specs that collect leaf areas use the object
     engine regardless, since the kernel has no blocks to measure.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
-    if engine == "vector" and not spec.collect_area:
-        return _build_trials_vector(spec, start, count)
     result = TrialResult.empty(spec.capacity)
+    if engine == "vector" and not spec.collect_area:
+        step = max(1, BATCH_POINTS // max(1, spec.n_points))
+        stop = start + count
+        for first in range(start, stop, step):
+            _census_batch(spec, range(first, min(first + step, stop)), result)
+        return result
     bounds = spec.bounds_rect()
     for trial in range(start, start + count):
         generator = spec.make_generator(trial)
         _object_trial(spec, bounds, generator.generate(spec.n_points), result)
-    return result
-
-
-def build_trials_from_arrays(
-    spec: ExperimentSpec,
-    start: int,
-    count: int,
-    engine: str,
-    arrays: np.ndarray,
-) -> TrialResult:
-    """Run trials ``start .. start+count-1`` from pre-generated points.
-
-    ``arrays`` is a ``(count, n_points, dim)`` float64 tensor whose row
-    ``i`` holds exactly what ``spec.make_generator(start + i)
-    .generate(spec.n_points)`` would produce — the coordinator wrote it
-    into shared memory once, so workers (and the crash-rescue path)
-    skip generation entirely.  Results are bit-identical to
-    :func:`build_trials` for the same range: the object engine rebuilds
-    :class:`Point` objects from the rows (float64 round-trips exactly),
-    and the vector engine feeds the whole chunk to one batched kernel
-    call (:func:`repro.kernels.vector_census_batch`).
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if arrays.shape[0] != count:
-        raise ValueError(
-            f"arrays hold {arrays.shape[0]} trials, chunk needs {count}"
-        )
-    if engine == "vector" and not spec.collect_area:
-        return _batch_trials_vector(spec, arrays)
-    result = TrialResult.empty(spec.capacity)
-    bounds = spec.bounds_rect()
-    for i in range(count):
-        # .tolist() yields Python floats: the exact values the
-        # generator produced, so the tree sees identical points
-        points = [Point(*row) for row in arrays[i].tolist()]
-        _object_trial(spec, bounds, points, result)
     return result
 
 
@@ -281,52 +264,28 @@ def _object_trial(
         obs.gauge("tree.max_depth", tree.max_depth_reached)
 
 
-def _build_trials_vector(
-    spec: ExperimentSpec, start: int, count: int
-) -> TrialResult:
-    """The vector-engine trial loop: same seed contract, same spans,
-    censuses bit-identical to the object loop's — but each trial is a
-    kernel call over the generated point array instead of a tree, and
-    the points come from ``generate_array`` (bit-identical to
-    ``generate``), so no :class:`Point` is ever built."""
-    from ..kernels import vector_census
+def _census_batch(
+    spec: ExperimentSpec, trials: range, result: TrialResult
+) -> None:
+    """Draw ``trials``' points and census them in one kernel call.
 
-    result = TrialResult.empty(spec.capacity)
-    # the object tree defaults omitted bounds to the unit square
-    bounds = spec.bounds_rect() or Rect.unit(2)
-    for trial in range(start, start + count):
-        generator = spec.make_generator(trial)
-        with obs.span("trial.build"):
-            partition = vector_census(
-                generator.generate_array(spec.n_points),
-                spec.capacity,
-                bounds=bounds,
-                dim=bounds.dim,
-                max_depth=spec.max_depth,
-            )
-        with obs.span("trial.census"):
-            result.accumulator.add(partition.occupancy_census())
-            if spec.collect_depth:
-                result.depth_censuses.append(partition.depth_census())
-    return result
-
-
-def _batch_trials_vector(
-    spec: ExperimentSpec, arrays: np.ndarray
-) -> TrialResult:
-    """The batched vector path: one kernel call for the whole chunk.
-
-    Spans keep the per-trial names (``trial.build`` around the batched
+    Spans keep the object loop's names (``trial.build`` around the
     kernel, ``trial.census`` around the fold) so worker subtrees stay
-    comparable across paths — but each appears once per *chunk* here.
+    comparable across engines — but each appears once per *batch* here,
+    after a ``trial.generate`` span for the draw.
     """
     from ..kernels import vector_census_batch
 
-    result = TrialResult.empty(spec.capacity)
+    # the object tree defaults omitted bounds to the unit square
     bounds = spec.bounds_rect() or Rect.unit(2)
+    with obs.span("trial.generate"):
+        arrays = np.stack([
+            spec.make_generator(trial).generate_array(spec.n_points)
+            for trial in trials
+        ])
     with obs.span("trial.build"):
         partitions = vector_census_batch(
-            np.asarray(arrays, dtype=np.float64),
+            arrays,
             spec.capacity,
             bounds=bounds,
             dim=bounds.dim,
@@ -337,7 +296,6 @@ def _batch_trials_vector(
             result.accumulator.add(partition.occupancy_census())
             if spec.collect_depth:
                 result.depth_censuses.append(partition.depth_census())
-    return result
 
 
 def _run_chunk(
@@ -346,47 +304,32 @@ def _run_chunk(
     count: int,
     engine: str = "object",
     traced: bool = False,
-    shm: Optional[SharedBlockRef] = None,
 ) -> ChunkOutcome:
     """Worker entry point: run one chunk, return a picklable outcome.
 
-    With ``shm`` set, the chunk's points are read from the
-    coordinator's shared block (rows ``start .. start+count-1``)
-    instead of being regenerated from the seed stream; if attaching
-    fails (block already gone, exotic platform) the worker falls back
-    to regenerating — same results either way.
-
-    With ``traced=True`` (the coordinator's run was traced) the chunk
-    runs under its own worker-local :class:`Tracer` and ships the
-    snapshot home in the outcome; the coordinator merges per-worker
-    snapshots into ``worker.N`` subtrees (see ``_merge_worker_traces``).
+    The worker draws the chunk's points itself from the seed stream, so
+    a submission carries only the spec and the trial range.  With
+    ``traced=True`` (the coordinator's run was traced) the chunk runs
+    under its own worker-local :class:`Tracer` and ships the snapshot
+    home in the outcome; the coordinator merges per-worker snapshots
+    into ``worker.N`` subtrees (see ``_merge_worker_traces``).
     """
     began = time.perf_counter()
-    arrays: Optional[np.ndarray] = None
-    if shm is not None:
-        try:
-            arrays = sharedmem.attach_view(shm)[start:start + count]
-        except (OSError, ValueError):
-            arrays = None
-
-    def _work() -> TrialResult:
-        if arrays is not None:
-            return build_trials_from_arrays(spec, start, count, engine, arrays)
-        return build_trials(spec, start, count, engine)
-
     trace: Optional[Dict[str, Any]] = None
     if traced:
         tracer = Tracer()
         with obs.tracing(tracer):
-            result = _work()
+            result = build_trials(spec, start, count, engine)
         trace = tracer.to_dict()
     else:
-        result = _work()
+        result = build_trials(spec, start, count, engine)
+    payload = result.to_payload()
     return ChunkOutcome(
         start=start,
         trials=count,
-        payload=result.to_payload(),
-        wall_time=time.perf_counter() - began,
+        payload=payload,
+        began=began,
+        ended=time.perf_counter(),
         pid=os.getpid(),
         trace=trace,
     )
@@ -457,8 +400,6 @@ class PersistentPool:
         ):
             self.shutdown()
         if self._pool is None:
-            # boot the shared-memory tracker now, not during a run
-            sharedmem.start_tracker()
             # the module-global name, so tests can stub pool creation
             self._pool = ProcessPoolExecutor(max_workers=workers)
             self._workers = workers
@@ -758,12 +699,12 @@ def _run_pool(
     collector: MetricsCollector,
     config: RuntimeConfig,
 ) -> List[ChunkOutcome]:
-    """Fan chunks over the (persistent) process pool with shared-memory
-    point transport; retry a failed chunk once in the pool, then rescue
-    it in-process.  A broken pool (worker crash) short-circuits every
-    surviving future straight to the rescue list — no resubmissions to
-    a dead pool, no inflated retry counts.  Only raises if a chunk
-    fails even in-process (a genuine bug, not a pool issue).
+    """Fan chunks over the (persistent) process pool; workers draw their
+    own points.  A failed chunk is retried once in the pool, then
+    rescued in-process.  A broken pool (worker crash) short-circuits
+    every surviving future straight to the rescue list — no
+    resubmissions to a dead pool, no inflated retry counts.  Only raises
+    if a chunk fails even in-process (a genuine bug, not a pool issue).
     """
     engine = config.engine
     # configs installed by runtime_session keep their pool warm across
@@ -779,6 +720,11 @@ def _run_pool(
     rescued: List[Tuple[int, int]] = []
     traced = obs.enabled()
     broken = False
+    # coordinator-side stamps per future: when it was submitted and
+    # when its result arrived (set by the pool's result thread)
+    submitted: Dict[Any, float] = {}
+    arrived: Dict[Any, float] = {}
+    delivered: List[Tuple[ChunkOutcome, Any]] = []
 
     def _mark_broken() -> None:
         nonlocal broken
@@ -787,40 +733,27 @@ def _run_pool(
         if persistent:
             config.persistent_pool().mark_broken()
 
-    block: Optional[SharedPointBlock] = None
-    try:
-        bounds = spec.bounds_rect() or Rect.unit(2)
-        try:
-            block = SharedPointBlock.create(
-                spec.trials, spec.n_points, bounds.dim
-            )
-        except (OSError, ValueError):
-            block = None  # no shared memory: workers regenerate points
-        shm_ref = block.ref if block is not None else None
+    def _submit(start: int, count: int) -> Any:
+        at = time.perf_counter()
+        future = pool.submit(_run_chunk, spec, start, count, engine, traced)
+        submitted[future] = at
+        future.add_done_callback(
+            lambda done: arrived.__setitem__(done, time.perf_counter())
+        )
+        return future
 
+    try:
         pool_began = time.perf_counter()
         futures: List[Tuple[int, int, Any]] = []
-        with obs.span("pool.generate"):
-            for start, count in chunks:
-                if block is not None:
-                    array = block.array
-                    for trial in range(start, start + count):
-                        array[trial] = spec.make_generator(
-                            trial
-                        ).generate_array(spec.n_points)
-                if broken:
-                    rescued.append((start, count))
-                    continue
-                try:
-                    # submit as soon as this chunk's rows are written,
-                    # overlapping generation with worker execution
-                    futures.append((start, count, pool.submit(
-                        _run_chunk, spec, start, count, engine, traced,
-                        shm_ref,
-                    )))
-                except BrokenProcessPool:
-                    _mark_broken()
-                    rescued.append((start, count))
+        for start, count in chunks:
+            if broken:
+                rescued.append((start, count))
+                continue
+            try:
+                futures.append((start, count, _submit(start, count)))
+            except BrokenProcessPool:
+                _mark_broken()
+                rescued.append((start, count))
         for start, count, future in futures:
             if broken:
                 # a dead pool fails every surviving future; send them
@@ -837,10 +770,8 @@ def _run_pool(
                 collector.record_retry()
                 obs.count("runtime.retry")
                 try:
-                    outcome = pool \
-                        .submit(_run_chunk, spec, start, count, engine,
-                                traced, shm_ref) \
-                        .result()
+                    future = _submit(start, count)
+                    outcome = future.result()
                 except BrokenProcessPool:
                     _mark_broken()
                     rescued.append((start, count))
@@ -849,6 +780,7 @@ def _run_pool(
                     rescued.append((start, count))
                     continue
             outcomes.append(outcome)
+            delivered.append((outcome, future))
             collector.record_chunk(outcome.trials, outcome.wall_time, "pool")
             # pool chunks time themselves in the worker; fold the
             # measured duration into the coordinator's span tree
@@ -860,26 +792,22 @@ def _run_pool(
             obs.count("runtime.degraded")
             began = time.perf_counter()
             with obs.span("chunk.degraded"):
-                if block is not None:
-                    result = build_trials_from_arrays(
-                        spec, start, count, engine,
-                        block.array[start:start + count],
-                    )
-                else:
-                    result = build_trials(spec, start, count, engine)
-            wall = time.perf_counter() - began
+                result = build_trials(spec, start, count, engine)
+            ended = time.perf_counter()
             outcomes.append(
                 ChunkOutcome(
                     start=start,
                     trials=count,
                     payload=result.to_payload(),
-                    wall_time=wall,
+                    began=began,
+                    ended=ended,
                 )
             )
-            collector.record_chunk(count, wall, "degraded")
-            rescue_s += wall
+            collector.record_chunk(count, ended - began, "degraded")
+            rescue_s += ended - began
 
         if traced:
+            _record_transport(delivered, submitted, arrived)
             _merge_worker_traces(outcomes, pool_elapsed)
             total = pool_elapsed + rescue_s
             obs.gauge(
@@ -895,11 +823,36 @@ def _run_pool(
                 key=(engine, spec.n_points),
             )
     finally:
-        if block is not None:
-            block.close_and_unlink()
         if not persistent:
             pool.shutdown(wait=True)
     return outcomes
+
+
+def _record_transport(
+    delivered: List[Tuple[ChunkOutcome, Any]],
+    submitted: Dict[Any, float],
+    arrived: Dict[Any, float],
+) -> None:
+    """Record each pool chunk's transport cost around its worker time.
+
+    ``pool.dispatch`` runs from the moment the chunk could start — its
+    submission, or the end of the previous chunk on the same worker if
+    that came later — to the worker's start stamp: pickling, queueing
+    and wake-up, not time spent waiting behind a busy worker.
+    ``pool.collect`` runs from the worker's end stamp to the result's
+    arrival in the coordinator: result pickling and the trip home.
+    """
+    previous_end: Dict[int, float] = {}
+    for outcome, future in sorted(delivered, key=lambda d: d[0].began):
+        ready = max(
+            submitted[future], previous_end.get(outcome.pid, float("-inf"))
+        )
+        previous_end[outcome.pid] = outcome.ended
+        obs.record("pool.dispatch", outcome.began - ready)
+        # done-callbacks run just after the result is set, so a stamp
+        # can still be missing when the last result was only just read
+        if future in arrived:
+            obs.record("pool.collect", arrived[future] - outcome.ended)
 
 
 def _pool_run_stats(

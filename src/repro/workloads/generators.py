@@ -19,6 +19,10 @@ import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+# numpy loads ``numpy.random`` on first use; importing it with this
+# module loads it in a pool's coordinator before the workers fork,
+# instead of once in every new worker
+import numpy.random  # noqa: F401
 
 from ..geometry import Point, Rect, Segment
 
@@ -62,7 +66,7 @@ class PointGenerator:
         The base implementation lowers :meth:`generate`.  Uniform and
         Gaussian points override it with a vectorized draw that
         consumes the RNG stream identically, so callers (the runtime's
-        trial loops and shared-memory pool path) may rely on
+        vector trial loop, serial and pooled) may rely on
         ``generate_array`` being bit-identical to ``generate`` for
         every generator.  Clustered and diagonal points stay on this
         scalar fallback: each attempt interleaves an integer or uniform
@@ -86,9 +90,12 @@ class PointGenerator:
         # +0.0 normalizes -0.0 so the bitwise comparisons below agree
         # with the scalar path's value-equality dedupe; distinct first
         # coordinates (the usual case) already make the rows distinct,
-        # and a 1-d sort is far cheaper than a row-wise one
+        # and a 1-d sort is far cheaper than a row-wise one (np.sort,
+        # not np.unique, which loads numpy.ma on first use: ~20 ms in
+        # every fresh pool worker)
+        first = np.sort(arr[:, 0] + 0.0)
         if (
-            np.unique(arr[:, 0] + 0.0).size == n
+            not (first[1:] == first[:-1]).any()
             or np.unique(arr + 0.0, axis=0).shape[0] == n
         ):
             return arr

@@ -169,6 +169,17 @@ class TestWorkerTelemetry:
         assert straggler.last >= 1.0
         assert t.gauges["pool.workers_used"].last >= 1
 
+    def test_chunk_transport_splits_into_dispatch_and_collect(self):
+        t, _ = self._pooled()
+        build = t.roots["runtime.execute"].children["runtime.build"]
+        # workers draw their own points: the coordinator generates none
+        assert "pool.generate" not in build.children
+        chunks = build.children["chunk.pool"].count
+        assert chunks == self.POOL_SPEC.trials
+        assert build.children["pool.dispatch"].count == chunks
+        assert build.children["pool.collect"].count <= chunks
+        assert build.children["pool.collect"].count >= 1
+
     def test_pooled_trace_exports_to_chrome(self):
         import json
 

@@ -18,7 +18,6 @@ from repro.runtime import (
     active_config,
     build_trials,
     execute,
-    live_block_count,
     plan_chunks,
     runtime_session,
 )
@@ -34,7 +33,7 @@ SPEC = ExperimentSpec(capacity=2, n_points=60, trials=5, seed=3)
 _real_run_chunk = executor_module._run_chunk
 
 
-def _flaky_chunk(spec, start, count, engine="object", traced=False, shm=None):
+def _flaky_chunk(spec, start, count, engine="object", traced=False):
     """A chunk runner that fails once (for chunk 0) then recovers.
 
     Module-level (and parameterized via the environment) so it pickles
@@ -47,18 +46,25 @@ def _flaky_chunk(spec, start, count, engine="object", traced=False, shm=None):
         with open(marker, "w"):
             pass
         raise RuntimeError("injected chunk failure")
-    return _real_run_chunk(spec, start, count, engine, traced, shm)
+    return _real_run_chunk(spec, start, count, engine, traced)
 
 
-def _always_failing(spec, start, count, engine="object", traced=False,
-                    shm=None):
+def _always_failing(spec, start, count, engine="object", traced=False):
     raise RuntimeError("injected permanent failure")
 
 
-def _crashing(spec, start, count, engine="object", traced=False, shm=None):
+def _crashing(spec, start, count, engine="object", traced=False):
     if start == 0:
         os._exit(13)  # simulate a worker segfault / OOM kill
-    return _real_run_chunk(spec, start, count, engine, traced, shm)
+    return _real_run_chunk(spec, start, count, engine, traced)
+
+
+def _shm_segments():
+    """Names under ``/dev/shm`` (empty where the platform has none)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +155,43 @@ class TestBuildTrials:
         assert result.area_occupancy
         plain = build_trials(SPEC, 0, 2)
         assert plain.depth_censuses == [] and plain.area_occupancy == []
+
+    def test_serial_vector_chunk_is_one_kernel_batch(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        result = execute(SPEC, RuntimeConfig(engine="vector", tracer=tracer))
+        assert tracer.counters["kernel.batches"] == 1
+        assert tracer.counters["kernel.census"] == SPEC.trials
+        chunk = tracer.roots["runtime.execute"].children["runtime.build"] \
+            .children["chunk.serial"]
+        for name in ("trial.generate", "trial.build", "trial.census"):
+            assert chunk.children[name].count == 1
+        assert result.to_payload() == \
+            build_trials(SPEC, 0, SPEC.trials, "object").to_payload()
+
+    def test_batches_split_at_the_point_budget(self, monkeypatch):
+        from repro.obs import tracing
+
+        spec = ExperimentSpec(
+            capacity=2, n_points=60, trials=7, seed=3, collect_depth=True
+        )
+        whole = build_trials(spec, 0, spec.trials, "vector")
+        # two trials' points per batch: 7 trials run as 2 + 2 + 2 + 1
+        monkeypatch.setattr(executor_module, "BATCH_POINTS", 120)
+        with tracing() as tracer:
+            split = build_trials(spec, 0, spec.trials, "vector")
+        assert tracer.counters["kernel.batches"] == 4
+        assert split.to_payload() == whole.to_payload()
+
+    @pytest.mark.parametrize("engine", ["object", "vector"])
+    def test_run_chunk_draws_its_own_points(self, engine):
+        outcome = executor_module._run_chunk(SPEC, 2, 3, engine)
+        assert outcome.payload == \
+            build_trials(SPEC, 2, 3, engine).to_payload()
+        assert outcome.began <= outcome.ended
+        assert outcome.wall_time == outcome.ended - outcome.began
+        assert outcome.pid == os.getpid()
 
 
 class TestTrialResult:
@@ -365,63 +408,73 @@ class TestPersistentPool:
 
 
 class TestSharedMemoryLifecycle:
+    """Workers draw their own points, so no pooled run — clean, crashed
+    or failing — may leave a shared-memory segment behind."""
+
     def test_no_blocks_leak_on_normal_run(self):
+        before = _shm_segments()
         with runtime_session(workers=2, chunk_size=2, engine="vector"):
             execute(SPEC)
-        assert live_block_count() == 0
+        assert _shm_segments() <= before
 
     def test_no_blocks_leak_on_worker_crash(self, monkeypatch):
+        before = _shm_segments()
         monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
         execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
-        assert live_block_count() == 0
+        assert _shm_segments() <= before
 
     def test_no_blocks_leak_on_permanent_failure(self, monkeypatch):
+        before = _shm_segments()
         monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
         execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
-        assert live_block_count() == 0
+        assert _shm_segments() <= before
 
-    def test_pool_spin_up_waits_for_the_tracker(self):
-        """Acquiring a pool boots the resource tracker and waits until
-        it has read its pipe, so no run pays for the boot — also after
-        the tracker was stopped between two pools."""
-        import array
-        import fcntl
-        import termios
-        from multiprocessing import resource_tracker
+    def test_pooled_run_starts_no_tracker_and_no_shm_segment(self):
+        """In a fresh interpreter, a pooled run on either engine never
+        imports ``multiprocessing.shared_memory``, never starts the
+        resource tracker and leaves ``/dev/shm`` as it found it."""
+        import json
+        import subprocess
+        import sys
+        import textwrap
 
-        from repro.runtime import PersistentPool
+        script = textwrap.dedent("""
+            import json, os, sys
+            from multiprocessing import resource_tracker
+            from repro.runtime import (
+                ExperimentSpec, RuntimeConfig, execute, runtime_session,
+            )
 
-        tracker = resource_tracker._resource_tracker
-        assert live_block_count() == 0
-        for _ in range(2):
-            tracker._stop()
-            assert tracker._pid is None
-            holder = PersistentPool()
-            try:
-                holder.acquire(2)
-                pid = tracker._pid
-                assert pid is not None
-                assert os.waitpid(pid, os.WNOHANG) == (0, 0)
-                unread = array.array("i", [1])
-                fcntl.ioctl(tracker._fd, termios.FIONREAD, unread)
-                assert unread[0] == 0
-            finally:
-                holder.shutdown()
+            def segments():
+                try:
+                    return set(os.listdir("/dev/shm"))
+                except OSError:
+                    return set()
 
-    def test_shm_creation_failure_falls_back_to_regeneration(
-        self, monkeypatch
-    ):
-        def no_shm(*args, **kwargs):
-            raise OSError("shared memory unavailable")
-
-        monkeypatch.setattr(
-            executor_module.SharedPointBlock, "create", no_shm
+            before = segments()
+            spec = ExperimentSpec(capacity=2, n_points=60, trials=5, seed=3)
+            for engine in ("vector", "object"):
+                with runtime_session(workers=2, chunk_size=2, engine=engine):
+                    execute(spec)
+                    execute(spec)
+            print(json.dumps({
+                "shared_memory": "multiprocessing.shared_memory"
+                    in sys.modules,
+                "tracker_pid": resource_tracker._resource_tracker._pid,
+                "new_segments": sorted(segments() - before),
+            }))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
-        assert result.accumulator.count_sums == serial.accumulator.count_sums
-        assert all(c.mode == "pool" for c in config.report().chunks)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {
+            "shared_memory": False, "tracker_pid": None, "new_segments": [],
+        }
 
     def test_no_resource_tracker_warnings(self):
         """The interpreter must exit without shared_memory leak
@@ -441,8 +494,7 @@ class TestSharedMemoryLifecycle:
             with runtime_session(workers=2, chunk_size=2, engine="vector"):
                 execute(spec)
 
-            def crashing(spec, start, count, engine="object", traced=False,
-                         shm=None):
+            def crashing(spec, start, count, engine="object", traced=False):
                 os._exit(13)
 
             executor_module._run_chunk = crashing

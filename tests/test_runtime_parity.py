@@ -134,11 +134,10 @@ class TestWarmCacheTable1:
 
 
 class TestSharedPoolMatrix:
-    """The rebuilt pool path: a session's persistent shared-memory
-    workers must stay bit-identical to serial on both engines — through
+    """The pool path: a session's persistent workers, drawing their own
+    points, must stay bit-identical to serial on both engines — through
     repeat executes on a warm pool, a mid-run worker death, the
-    pool-unavailable degraded fallback, and the result cache — and must
-    never leak a shared-memory block."""
+    pool-unavailable degraded fallback, and the result cache."""
 
     KW = dict(n_points=90, trials=6, seed=13, collect_depth=True)
 
@@ -151,7 +150,7 @@ class TestSharedPoolMatrix:
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_warm_session_pool_bit_identical(self, engine):
-        from repro.runtime import live_block_count, runtime_session
+        from repro.runtime import runtime_session
 
         serial = run_trials(
             3, runtime=RuntimeConfig(engine=engine), **self.KW
@@ -163,11 +162,10 @@ class TestSharedPoolMatrix:
         _assert_bit_identical(serial, first)
         _assert_bit_identical(serial, warm)
         assert warm.depth_censuses == serial.depth_censuses
-        assert live_block_count() == 0
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_worker_death_rescued_bit_identical(self, engine, monkeypatch):
-        from repro.runtime import live_block_count, runtime_session
+        from repro.runtime import runtime_session
         from repro.runtime import executor as executor_module
         from tests.test_runtime_executor import _crashing
 
@@ -180,11 +178,10 @@ class TestSharedPoolMatrix:
             rescued = run_trials(3, **self.KW)
         _assert_bit_identical(serial, rescued)
         assert rescued.depth_censuses == serial.depth_censuses
-        assert live_block_count() == 0
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_degraded_fallback_bit_identical(self, engine, monkeypatch):
-        from repro.runtime import live_block_count, runtime_session
+        from repro.runtime import runtime_session
         from repro.runtime import executor as executor_module
 
         class _NoPool:
@@ -201,7 +198,6 @@ class TestSharedPoolMatrix:
         with runtime_session(config):
             degraded = run_trials(3, **self.KW)
         _assert_bit_identical(serial, degraded)
-        assert live_block_count() == 0
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_pooled_writer_feeds_cache(self, engine, tmp_path):
@@ -224,9 +220,23 @@ class TestSharedPoolMatrix:
         assert cached.depth_censuses == serial.depth_censuses
 
 
+def _assert_engine_payloads_identical(spec):
+    """Object engine, serial vector loop and pooled vector workers must
+    produce one payload for ``spec``."""
+    from repro.runtime import execute, runtime_session
+
+    object_payload = execute(spec, RuntimeConfig(engine="object")).to_payload()
+    serial_payload = execute(spec, RuntimeConfig(engine="vector")).to_payload()
+    pooled_config = RuntimeConfig(workers=2, engine="vector", chunk_size=2)
+    with runtime_session(pooled_config):
+        pooled_payload = execute(spec).to_payload()
+    assert serial_payload == object_payload
+    assert pooled_payload == object_payload
+
+
 class TestGaussianEngineParity:
     """Gaussian trials draw through ``GaussianPoints.generate_array`` on
-    both vector paths (serial loop and pool coordinator) and through
+    both vector paths (serial loop and pool workers) and through
     ``generate`` on the object engine; all three must agree exactly."""
 
     SPEC = dict(
@@ -235,22 +245,21 @@ class TestGaussianEngineParity:
     )
 
     def test_serial_pooled_and_object_payloads_identical(self):
-        from repro.runtime import (
-            ExperimentSpec, execute, live_block_count, runtime_session,
-        )
+        from repro.runtime import ExperimentSpec
 
-        spec = ExperimentSpec(**self.SPEC)
-        object_payload = execute(
-            spec, RuntimeConfig(engine="object")
-        ).to_payload()
-        serial_payload = execute(
-            spec, RuntimeConfig(engine="vector")
-        ).to_payload()
-        pooled_config = RuntimeConfig(
-            workers=2, engine="vector", chunk_size=2
-        )
-        with runtime_session(pooled_config):
-            pooled_payload = execute(spec).to_payload()
-        assert serial_payload == object_payload
-        assert pooled_payload == object_payload
-        assert live_block_count() == 0
+        _assert_engine_payloads_identical(ExperimentSpec(**self.SPEC))
+
+
+class TestEnginePayloadParity:
+    """The same three-way identity for the other generators: uniform
+    (vectorized draw) and clustered (the scalar ``generate_array``
+    fallback)."""
+
+    @pytest.mark.parametrize("generator", ["uniform", "clustered"])
+    def test_serial_pooled_and_object_payloads_identical(self, generator):
+        from repro.runtime import ExperimentSpec
+
+        _assert_engine_payloads_identical(ExperimentSpec(
+            capacity=4, n_points=181, trials=5, seed=29,
+            generator=generator, collect_depth=True,
+        ))
